@@ -1,38 +1,27 @@
 //! # psc-matcher
 //!
-//! Publication-matching engines for content-based publish/subscribe, built
-//! around the covered/uncovered split of Algorithm 5 in the Middleware 2006
+//! Publication matching for content-based publish/subscribe, built around
+//! the covered/uncovered split of Algorithm 5 in the Middleware 2006
 //! subsumption paper:
 //!
+//! - [`CoveringStore`] — the paper's two-phase store and the service's
+//!   matching engine: publications are matched against the *uncovered*
+//!   (active) set first, and the covered set is consulted only on a hit;
+//!   covered entries remember their covering parents so irrelevant checks
+//!   are skipped (the paper's "multi-level" optimization).
 //! - [`NaiveMatcher`] — flat linear scan over all subscriptions; the
-//!   correctness baseline.
-//! - [`CountingIndex`] — per-attribute interval index in the style of Yan &
-//!   García-Molina's counting algorithm (the ancestor of the matching
-//!   engines the paper cites as related work).
-//! - [`CoveringStore`] — the paper's two-phase store: publications are
-//!   matched against the *uncovered* (active) set first, and the covered set
-//!   is consulted only on a hit; covered entries remember their covering
-//!   parents so irrelevant checks are skipped (the paper's "multi-level"
-//!   optimization).
-//! - [`BoxMatcher`] — approximate matching for imprecise (box-shaped)
-//!   publications, the extension Section 1 of the paper advocates.
+//!   correctness reference.
 //!
-//! All engines return the same match sets; property tests in this crate and
-//! differential tests in `tests/` enforce that.
+//! Both return the same match sets; differential tests in `tests/`
+//! enforce that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod approx;
-pub mod counting;
-pub mod cover_index;
 pub mod naive;
 pub mod store;
 
-pub use approx::{ApproxMatch, BoxMatcher};
-pub use counting::CountingIndex;
-pub use cover_index::CoverIndex;
 pub use naive::NaiveMatcher;
 pub use store::{
     CoverParents, CoveringStore, InsertOutcome, MatchStats, RestoreError, StoreStats, StoredEntry,

@@ -4,7 +4,8 @@
 //! on every link — a subscription withheld from an uplink is always
 //! exactly subsumed by one that was forwarded. A deterministic test
 //! additionally pins the control-traffic win: on a covering-heavy
-//! workload, the transit node receives strictly fewer forwarded
+//! workload, every accepted subscription is forwarded or suppressed
+//! exactly once, and the transit node receives strictly fewer forwarded
 //! subscriptions than the edge node accepted.
 
 use proptest::prelude::*;
@@ -142,37 +143,50 @@ proptest! {
     }
 }
 
-/// On a covering-heavy workload (nested subscriptions at the edge), the
+/// On a covering-heavy workload (disjoint nested families at the edge),
+/// every accepted subscription is one uplink decision, forwarded or
+/// suppressed, and at least a quarter are suppressed. The
 /// forwarded/received control-message ratio at the transit node stays
-/// strictly below 1: aggregation suppresses most of the stream.
+/// strictly below 1. Publishes from the far end still reach every nested
+/// member, and that node's front end counts each publish once.
 #[test]
 fn covering_heavy_workload_suppresses_control_traffic() {
+    const CENTERS: [i64; 3] = [8, 24, 40];
+    const DEPTH: i64 = 6;
+    let families = CENTERS.len() as u64;
     let schema = schema2();
     let (a, b, c) = start_chain();
     let mut edge = ServiceClient::connect_binary(c.local_addr()).expect("connect C");
 
-    // A nested family: each subscription covers the next.
+    // Within a family each subscription covers the next; no family
+    // overlaps another.
     let mut accepted = 0u64;
-    for i in 0..12i64 {
-        let sub = Subscription::from_ranges(
-            &schema,
-            vec![
-                Range::new(i, 49 - i).unwrap(),
-                Range::new(i, 49 - i).unwrap(),
-            ],
-        )
-        .unwrap();
-        edge.subscribe(SubscriptionId(i as u64), &sub)
-            .expect("subscribe");
-        accepted += 1;
+    for center in CENTERS {
+        for j in 0..DEPTH {
+            let half = 7 - j;
+            let range = Range::new(center - half, center + half).unwrap();
+            let sub = Subscription::from_ranges(&schema, vec![range, range]).unwrap();
+            edge.subscribe(SubscriptionId(accepted), &sub)
+                .expect("subscribe");
+            accepted += 1;
+        }
     }
 
     let edge_stats = c.federation_stats();
     assert_eq!(
-        edge_stats.subs_forwarded, 1,
-        "only the outermost subscription crosses the uplink"
+        edge_stats.subs_forwarded + edge_stats.subs_suppressed,
+        accepted,
+        "one uplink decision per accepted subscription"
     );
-    assert_eq!(edge_stats.subs_suppressed, accepted - 1);
+    assert!(
+        edge_stats.subs_suppressed * 4 >= accepted,
+        "aggregation suppressed only {} of {accepted}",
+        edge_stats.subs_suppressed
+    );
+    assert_eq!(
+        edge_stats.subs_forwarded, families,
+        "only each family's outermost subscription crosses the uplink"
+    );
 
     let transit_stats = b.federation_stats();
     assert!(
@@ -180,13 +194,26 @@ fn covering_heavy_workload_suppresses_control_traffic() {
         "forwarded/received ratio must be < 1.0: transit saw {} of {accepted}",
         transit_stats.subs_received
     );
-    assert_eq!(transit_stats.subs_received, 1);
+    assert_eq!(transit_stats.subs_received, families);
 
-    // Deliveries still reach the innermost subscription from node A.
+    // Deliveries still reach the innermost subscriptions from node A.
     let mut publisher = ServiceClient::connect_binary(a.local_addr()).expect("connect A");
-    let p = Publication::from_values(&schema, vec![24, 24]).unwrap();
-    let got = publisher.publish(&p).expect("publish");
-    assert_eq!(got.len(), 12, "all nested subscriptions match the center");
+    for center in CENTERS {
+        let p = Publication::from_values(&schema, vec![center, center]).unwrap();
+        let got = publisher.publish(&p).expect("publish");
+        assert_eq!(
+            got.len(),
+            DEPTH as usize,
+            "all nested subscriptions match the center"
+        );
+    }
+    let (metrics, _, latency) = publisher.stats_full().expect("stats");
+    let latency = latency.expect("federated node reports latency stats");
+    assert_eq!(
+        latency.end_to_end.count, families,
+        "one e2e sample per publish"
+    );
+    assert_eq!(metrics.publications_total, families);
 
     drop(edge);
     drop(publisher);

@@ -1,14 +1,17 @@
 //! End-to-end tests of the sharded TCP service: concurrent subscribers and
 //! publishers drive a real `ServiceServer` over loopback TCP, and the
 //! shard-merged match results are compared against `matcher::naive` ground
-//! truth on the same workload. Every scenario runs twice — once over the
+//! truth on the same workload, including after subscribe/unsubscribe churn
+//! that overlaps publishing. The front end's `stats` must count every
+//! publish exactly once. Every scenario runs twice — once over the
 //! JSON line protocol and once over the length-prefixed binary protocol —
 //! so both wire formats are held to the same ground truth.
 
 use psc::matcher::NaiveMatcher;
 use psc::model::{Publication, Schema, Subscription, SubscriptionId};
 use psc::service::{ClientProtocol, ServiceClient, ServiceConfig, ServiceServer};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 /// The paper's uniform workload, shared with the `service_throughput`
 /// bench so test and bench drive the same distribution.
@@ -30,9 +33,14 @@ fn connect(
     ServiceClient::connect_with_protocol(addr, ServiceConfig::default().io_timeout, proto)
 }
 
-fn ground_truth(subs: &[Subscription], publications: &[Publication]) -> Vec<Vec<SubscriptionId>> {
+/// Naive match sets for `publications` over the live `(id, subscription)`
+/// pairs.
+fn ground_truth<'a>(
+    live: impl IntoIterator<Item = (usize, &'a Subscription)>,
+    publications: &[Publication],
+) -> Vec<Vec<SubscriptionId>> {
     let mut naive = NaiveMatcher::new();
-    for (i, s) in subs.iter().enumerate() {
+    for (i, s) in live {
         naive.insert(SubscriptionId(i as u64), s.clone());
     }
     publications
@@ -47,7 +55,7 @@ fn ground_truth(subs: &[Subscription], publications: &[Publication]) -> Vec<Vec<
 
 fn concurrent_tcp_clients_match_naive_ground_truth(proto: ClientProtocol) {
     let (schema, subs, pubs) = uniform_workload(4, 300, 80, 0xE2E);
-    let truth = ground_truth(&subs, &pubs);
+    let truth = ground_truth(subs.iter().enumerate(), &pubs);
 
     let server = ServiceServer::bind(
         "127.0.0.1:0",
@@ -103,9 +111,24 @@ fn concurrent_tcp_clients_match_naive_ground_truth(proto: ClientProtocol) {
         join.join().expect("publisher thread");
     }
 
-    // The service really sharded the store and saw the whole workload.
+    // The service really sharded the store and saw the whole workload,
+    // and its front end counted every publish exactly once: one e2e
+    // sample and one router ingress each, decoded by the protocol the
+    // clients spoke and by no other.
     let mut client = connect(addr, proto).expect("connect inspector");
-    let metrics = client.stats().expect("stats over TCP");
+    let (metrics, _, latency) = client.stats_full().expect("stats over TCP");
+    let latency = latency.expect("TCP server reports latency stats");
+    assert_eq!(latency.end_to_end.count, pubs.len() as u64);
+    assert_eq!(metrics.publications_total, pubs.len() as u64);
+    let (spoken, unspoken) = match proto {
+        ClientProtocol::Json => (latency.decode.count, latency.decode_binary.count),
+        ClientProtocol::Binary => (latency.decode_binary.count, latency.decode.count),
+    };
+    assert!(spoken > 0, "no {proto:?} request reached the decode stage");
+    assert_eq!(
+        unspoken, 0,
+        "a {proto:?}-only server decoded the other protocol"
+    );
     assert_eq!(metrics.shards.len(), 4);
     let totals = metrics.totals();
     assert_eq!(totals.subscriptions_ingested, 300);
@@ -141,7 +164,19 @@ fn concurrent_tcp_clients_match_naive_ground_truth(proto: ClientProtocol) {
 }
 
 fn interleaved_subscribe_publish_and_unsubscribe_stay_consistent(proto: ClientProtocol) {
-    let (schema, subs, pubs) = uniform_workload(3, 120, 40, 0xFACE);
+    // Ids below FLEET are subscribed once and stay; the rest are churned
+    // in waves: subscribed, flushed, and every other one unsubscribed.
+    const FLEET: usize = 120;
+    const WAVES: usize = 4;
+    const WAVE: usize = 10;
+    let churned_out = |i: usize| i >= FLEET && (i - FLEET).is_multiple_of(2);
+    let (schema, subs, pubs) = uniform_workload(3, FLEET + WAVES * WAVE, 200, 0xFACE);
+    assert!(
+        (0..subs.len())
+            .filter(|&i| churned_out(i))
+            .any(|i| pubs.iter().any(|p| subs[i].matches(p))),
+        "no unsubscribed churn subscription matches a publication: the check is vacuous"
+    );
 
     let server = ServiceServer::bind(
         "127.0.0.1:0",
@@ -155,9 +190,9 @@ fn interleaved_subscribe_publish_and_unsubscribe_stay_consistent(proto: ClientPr
     .expect("bind loopback");
     let addr = server.local_addr();
 
-    // Subscribers and publishers run at the same time: match contents are
-    // racy by design, but every returned id must be a subscribed id and
-    // the protocol must never wedge.
+    // Subscribers, a churner and publishers run at the same time: match
+    // contents are racy by design, but every returned id must be a
+    // subscribed id and the protocol must never wedge.
     let subs = Arc::new(subs);
     let pubs = Arc::new(pubs);
     let mut joins = Vec::new();
@@ -165,22 +200,58 @@ fn interleaved_subscribe_publish_and_unsubscribe_stay_consistent(proto: ClientPr
         let subs = Arc::clone(&subs);
         joins.push(std::thread::spawn(move || {
             let mut client = connect(addr, proto).expect("connect subscriber");
-            for i in (t..subs.len()).step_by(3) {
+            for i in (t..FLEET).step_by(3) {
                 client
                     .subscribe(SubscriptionId(i as u64), &subs[i])
                     .expect("subscribe over TCP");
             }
         }));
     }
+    // The churner starts with the publishers, and they keep publishing
+    // until its last wave is done, so every wave overlaps publishing.
+    let start = Arc::new(Barrier::new(3));
+    let churning = Arc::new(AtomicBool::new(true));
+    {
+        let (subs, start, churning) =
+            (Arc::clone(&subs), Arc::clone(&start), Arc::clone(&churning));
+        joins.push(std::thread::spawn(move || {
+            let mut client = connect(addr, proto).expect("connect churner");
+            start.wait();
+            for wave in 0..WAVES {
+                let ids = FLEET + wave * WAVE..FLEET + (wave + 1) * WAVE;
+                for i in ids.clone() {
+                    client
+                        .subscribe(SubscriptionId(i as u64), &subs[i])
+                        .expect("churn subscribe");
+                }
+                client.flush().expect("churn flush");
+                for i in ids.filter(|&i| churned_out(i)) {
+                    let removed = client
+                        .unsubscribe(SubscriptionId(i as u64))
+                        .expect("churn unsubscribe");
+                    assert!(removed, "flushed churn subscription {i} was not found");
+                }
+            }
+            churning.store(false, Ordering::Release);
+        }));
+    }
     let max_id = subs.len() as u64;
     for _ in 0..2 {
-        let pubs = Arc::clone(&pubs);
+        let (pubs, start, churning) =
+            (Arc::clone(&pubs), Arc::clone(&start), Arc::clone(&churning));
         joins.push(std::thread::spawn(move || {
             let mut client = connect(addr, proto).expect("connect publisher");
-            for p in pubs.iter() {
-                let matched = client.publish(p).expect("publish over TCP");
-                for id in matched {
-                    assert!(id.0 < max_id, "match returned an id never subscribed");
+            start.wait();
+            loop {
+                let last_pass = !churning.load(Ordering::Acquire);
+                for p in pubs.iter() {
+                    let matched = client.publish(p).expect("publish over TCP");
+                    for id in matched {
+                        assert!(id.0 < max_id, "match returned an id never subscribed");
+                    }
+                }
+                if last_pass {
+                    break;
                 }
             }
         }));
@@ -189,9 +260,11 @@ fn interleaved_subscribe_publish_and_unsubscribe_stay_consistent(proto: ClientPr
         join.join().expect("worker thread");
     }
 
-    // Quiesced: now the service must agree with naive ground truth, and
-    // unsubscription must remove matches.
-    let truth = ground_truth(&subs, &pubs);
+    // Quiesced: now the service must agree with naive ground truth over
+    // the fleet plus the churn survivors, and unsubscription must remove
+    // matches.
+    let live = subs.iter().enumerate().filter(|&(i, _)| !churned_out(i));
+    let truth = ground_truth(live, &pubs);
     let mut client = connect(addr, proto).expect("connect checker");
     for (i, p) in pubs.iter().enumerate() {
         assert_eq!(client.publish(p).expect("publish"), truth[i]);
